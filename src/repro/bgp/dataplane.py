@@ -13,7 +13,7 @@ backbone traversal for multi-PoP transits, and the site access link.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.bgp.engine import ConvergedState
 from repro.bgp.messages import Route
@@ -43,6 +43,16 @@ class ForwardingOutcome:
     ingress_pop: Optional[int]
 
 
+class _Onward(NamedTuple):
+    """The flow-free rest of a walk from one AS entered at one PoP."""
+
+    hops: Tuple[int, ...]
+    #: RTT addends in walk order (the walk adds them one by one).
+    costs: Tuple[float, ...]
+    site_id: int
+    ingress_pop: Optional[int]
+
+
 class DataPlane:
     """Resolves client flows against one converged control plane.
 
@@ -51,16 +61,38 @@ class DataPlane:
     nonces can map the same flow differently, which models the ECMP
     rehashing that breaks preference consistency in the paper's
     measurements (S4.2, "Multi-path routing").
+
+    :meth:`trace` is the reference hop-by-hop walk.  :meth:`forward`
+    gives the same outcome, memoized: a walk that crosses no multipath
+    AS with tied routes does not depend on the flow key, so it runs
+    once per client AS.  And what happens after an AS depends only on
+    that AS and the PoP the flow entered it at, so walks sharing such a
+    step share the rest of the walk; its RTT addends are replayed in
+    order, so the sum is the reference's to the bit.
     """
 
     def __init__(self, internet: Internet, converged: ConvergedState, flow_nonce: int = 0):
         self.internet = internet
         self.converged = converged
         self.flow_nonce = flow_nonce
+        #: Per client AS: its outcome, or ``_FLOW_DEPENDENT``.
+        self._walks: Dict[int, object] = {}
+        #: Per (AS, entry PoP): an ``_Onward``, None when the flow is
+        #: dropped further on, or ``_FLOW_DEPENDENT``.
+        self._onward: Dict[Tuple[int, Optional[int]], object] = {}
 
     def forward(self, client_asn: int, flow_key) -> Optional[ForwardingOutcome]:
         """Trace one flow; returns None when the client has no route
         (e.g. a peers-only configuration that cannot reach it)."""
+        outcome = self._walks.get(client_asn, _UNWALKED)
+        if outcome is _UNWALKED:
+            outcome = self._walks[client_asn] = self._walk_flow_free(client_asn)
+        if outcome is _FLOW_DEPENDENT:
+            return self.trace(client_asn, flow_key)
+        return outcome
+
+    def trace(self, client_asn: int, flow_key) -> Optional[ForwardingOutcome]:
+        """The reference walk of one flow, hop by hop, without memos."""
         graph = self.internet.graph
         cur = client_asn
         prev: Optional[int] = None
@@ -73,7 +105,9 @@ class DataPlane:
                 return None
             route = self._choose_route(cur, flow_key, state)
             if route.is_injected():
-                return self._terminate(cur, prev, route, rtt, tuple(hops))
+                site_id, ingress, cost = self._terminal(cur, prev, route)
+                rtt += cost
+                return ForwardingOutcome(site_id, cur, tuple(hops), rtt, ingress)
             nxt = route.learned_from
             if nxt in visited:
                 # A forwarding loop across inconsistent multipath
@@ -87,9 +121,79 @@ class DataPlane:
 
     # -- internals ---------------------------------------------------------
 
+    def _walk_flow_free(self, client_asn: int):
+        """:meth:`trace` along best routes, stopping at the first step
+        whose rest is memoized; returns the outcome, or
+        ``_FLOW_DEPENDENT`` when the walk meets an ECMP split."""
+        graph = self.internet.graph
+        cur = client_asn
+        prev: Optional[int] = None
+        hops: List[int] = []
+        costs: List[float] = []
+        # (memo key, hops index, costs index) of each step walked here.
+        steps = []
+        while True:
+            key = (cur, self._entry_key(prev, cur))
+            rest = self._onward.get(key, _UNWALKED)
+            if rest is not _UNWALKED:
+                break
+            steps.append((key, len(hops), len(costs)))
+            hops.append(cur)
+            state = self.converged.states.get(cur)
+            if state is None or state.best is None:
+                rest = None
+                break
+            if self._splits_flows(cur, state):
+                rest = _FLOW_DEPENDENT
+                break
+            route = state.best
+            if route.is_injected():
+                site_id, ingress, cost = self._terminal(cur, prev, route)
+                costs.append(cost)
+                rest = _Onward((), (), site_id, ingress)
+                break
+            nxt = route.learned_from
+            if nxt in hops:
+                rest = None
+                break
+            costs.append(self._transit_cost(prev, cur, nxt))
+            costs.append(graph.link(cur, nxt).rtt_ms)
+            prev, cur = cur, nxt
+        if not isinstance(rest, _Onward):
+            for key, _, _ in steps:
+                self._onward[key] = rest
+            return rest
+        # Along best routes the next AS depends on the current AS
+        # alone, so a memoized rest (itself loop-free) never re-enters
+        # the ASes walked here: the reference walk finds no loop either.
+        walk = rest
+        for key, hop_index, cost_index in reversed(steps):
+            walk = self._onward[key] = _Onward(
+                tuple(hops[hop_index:]) + rest.hops,
+                tuple(costs[cost_index:]) + rest.costs,
+                rest.site_id,
+                rest.ingress_pop,
+            )
+        rtt = 0.0
+        for cost in walk.costs:
+            rtt += cost
+        return ForwardingOutcome(
+            walk.site_id, walk.hops[-1], walk.hops, rtt, walk.ingress_pop
+        )
+
+    def _entry_key(self, prev: Optional[int], cur: int) -> Optional[int]:
+        """What of ``prev`` the rest of a walk at ``cur`` depends on:
+        the entry PoP of a multi-PoP AS, nothing otherwise."""
+        net = self.internet.pop_network(cur)
+        if net is None or net.pop_count == 1:
+            return None
+        return self._entry_pop(prev, cur, net)
+
+    def _splits_flows(self, asn: int, state) -> bool:
+        return self.internet.graph.as_of(asn).multipath and len(state.multipath) > 1
+
     def _choose_route(self, asn: int, flow_key, state) -> Route:
-        node = self.internet.graph.as_of(asn)
-        if node.multipath and len(state.multipath) > 1:
+        if self._splits_flows(asn, state):
             idx = stable_hash(flow_key, asn, self.flow_nonce) % len(state.multipath)
             return state.multipath[idx]
         return state.best
@@ -110,14 +214,11 @@ class DataPlane:
             return net.nearest_pop(self.internet.graph.as_of(cur).location)
         return self.internet.attach_pop(cur, prev)
 
-    def _terminate(
-        self,
-        cur: int,
-        prev: Optional[int],
-        route: Route,
-        rtt: float,
-        hops: Tuple[int, ...],
-    ) -> ForwardingOutcome:
+    def _terminal(
+        self, cur: int, prev: Optional[int], route: Route
+    ) -> Tuple[int, Optional[int], float]:
+        """The site, ingress PoP and last RTT addend of a flow that
+        reaches an injected route at ``cur``."""
         net = self.internet.pop_network(cur)
         candidates = list(route.site_pops)
         if net is not None and net.pop_count > 1 and all(sp.pop_id is not None for sp in candidates):
@@ -125,9 +226,10 @@ class DataPlane:
             best_pop = net.closest_pop_of(ingress, [sp.pop_id for sp in candidates])
             at_pop = [sp for sp in candidates if sp.pop_id == best_pop]
             chosen = min(at_pop, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
-            rtt += net.igp_rtt_ms(ingress, best_pop) + chosen.link_rtt_ms
-            return ForwardingOutcome(chosen.site_id, cur, hops, rtt, ingress)
+            return chosen.site_id, ingress, net.igp_rtt_ms(ingress, best_pop) + chosen.link_rtt_ms
         chosen = min(candidates, key=lambda sp: (sp.link_rtt_ms, sp.site_id))
-        ingress = chosen.pop_id
-        rtt += chosen.link_rtt_ms
-        return ForwardingOutcome(chosen.site_id, cur, hops, rtt, ingress)
+        return chosen.site_id, chosen.pop_id, chosen.link_rtt_ms
+
+
+_UNWALKED = object()
+_FLOW_DEPENDENT = object()

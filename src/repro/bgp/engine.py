@@ -124,13 +124,6 @@ class ConvergedState:
         except KeyError:
             raise ReproError(f"no BGP state for AS {asn}") from None
 
-    def columnar(self, tables):
-        """A :class:`~repro.bgp.rib.ColumnarRib` view of this state
-        (built per call; bulk consumers should hold on to it)."""
-        from repro.bgp.rib import ColumnarRib
-
-        return ColumnarRib.from_converged(self, tables)
-
 
 class BGPEngine:
     """Runs anycast announcements over an :class:`Internet` to

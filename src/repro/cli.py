@@ -31,6 +31,7 @@ from repro.obs.export import load_trace, write_prometheus, write_trace_jsonl
 from repro.obs.heartbeat import HeartbeatWriter, follow_heartbeats, load_heartbeats
 from repro.obs.inspect import summarize_trace
 from repro.obs.log import LEVELS, configure_logging
+from repro.obs.trace import Tracer
 from repro.report import (
     render_audit_report,
     render_catchment_bars,
@@ -383,11 +384,7 @@ def cmd_catchment(args) -> int:
     if unmapped:
         print(f"unmapped targets: {unmapped}")
     if args.chart:
-        rtts = [
-            r
-            for r in (deployment.measure_rtt(t) for t in anyopt.targets)
-            if r is not None
-        ]
+        rtts = [r for r in deployment.measure_rtts() if r is not None]
         print("\nRTT CDF:")
         print(render_cdf(rtts, label="rtt(ms)"))
     return 0
@@ -582,6 +579,7 @@ def cmd_serve(args) -> int:
         snapshot_path,
         host=args.host,
         port=args.port,
+        tracer=Tracer() if args.trace else None,
         slo_specs=default_slo_specs(
             latency_threshold_ms=args.latency_slo_ms,
             max_snapshot_age_s=args.max_snapshot_age,

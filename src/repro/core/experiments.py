@@ -92,8 +92,9 @@ class ExperimentRunner:
         deployment = self.orchestrator.deploy(
             AnycastConfig(site_order=(site_id,)), experiment_id=experiment_id
         )
+        targets = self.orchestrator.targets
         rtts = {
-            t.target_id: deployment.measure_rtt(t) for t in self.orchestrator.targets
+            t.target_id: rtt for t, rtt in zip(targets, deployment.measure_rtts(targets))
         }
         return SingletonResult(
             site_id=site_id,
@@ -350,9 +351,10 @@ def _dispatch_experiment_task(orchestrator: Orchestrator, task: ExperimentTask):
             experiment_id=deployment.experiment_id,
             targets=len(orchestrator.targets),
         ):
+            targets = orchestrator.targets
             return [
-                (target.target_id, deployment.measure_rtt(target))
-                for target in orchestrator.targets
+                (target.target_id, rtt)
+                for target, rtt in zip(targets, deployment.measure_rtts(targets))
             ]
     if task.kind == "peer-probe":
         # Imported here: repro.core.peers imports this module's

@@ -89,15 +89,12 @@ def probe_peer(
         peer_id=peer_id,
         targets=len(orchestrator.targets),
     ):
-        for target in orchestrator.targets:
-            outcome = deployment.forwarding(target)
-            if outcome is None:
-                continue
-            measured = deployment.measure_rtt(target)
+        targets = orchestrator.targets
+        for target, measured in zip(targets, deployment.measure_rtts(targets)):
             if measured is None:
                 continue
             rtts.append(measured)
-            if outcome.terminating_asn == link.peer_asn:
+            if deployment.forwarding(target).terminating_asn == link.peer_asn:
                 catchment.add(target.target_id)
                 catchment_rtts[target.target_id] = measured
     mean_rtt = mean(rtts) if rtts else float("inf")
@@ -143,8 +140,8 @@ def one_pass_peer_selection(
 
     base = orchestrator.deploy(base_config)
     base_rtts: Dict[int, float] = {}
-    for target in orchestrator.targets:
-        measured = base.measure_rtt(target)
+    targets = orchestrator.targets
+    for target, measured in zip(targets, base.measure_rtts(targets)):
         if measured is not None:
             base_rtts[target.target_id] = measured
     if not base_rtts:

@@ -337,9 +337,10 @@ class CatchmentPredictor:
         n_correct = 0
         predicted_rtts: List[float] = []
         measured_rtts: List[float] = []
-        for target, prediction in zip(targets, batch):
+        for target, prediction, measured_rtt in zip(
+            targets, batch, deployment.measure_rtts(targets)
+        ):
             measured_site = measured_map.site_of(target.target_id)
-            measured_rtt = deployment.measure_rtt(target)
             if measured_rtt is not None:
                 measured_rtts.append(measured_rtt)
             if not prediction.decided:

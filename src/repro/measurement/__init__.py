@@ -7,7 +7,8 @@ that site's GRE tunnel, identifying the catchment (S3).  This package
 simulates that protocol against the BGP simulator's data plane:
 
 - :mod:`repro.measurement.targets` — ping-target selection (S3.2);
-- :mod:`repro.measurement.icmp` — probe-level loss and jitter;
+- :mod:`repro.measurement.icmp` — probe-level loss and jitter, for
+  whole target-by-sequence grids at once;
 - :mod:`repro.measurement.tunnels` — GRE tunnel RTTs and their
   periodic estimation;
 - :mod:`repro.measurement.verfploeter` — catchment mapping;
@@ -19,7 +20,7 @@ simulates that protocol against the BGP simulator's data plane:
 
 from repro.measurement.icmp import IcmpProber, ProbeResult
 from repro.measurement.orchestrator import Deployment, Orchestrator
-from repro.measurement.rtt import RttMatrix, estimate_rtt
+from repro.measurement.rtt import RttMatrix, estimate_rtt, estimate_rtts
 from repro.measurement.targets import PingTarget, TargetSet, select_targets
 from repro.measurement.tunnels import GreTunnel, TunnelManager
 from repro.measurement.verfploeter import CatchmentMap, measure_catchments
@@ -36,6 +37,7 @@ __all__ = [
     "TargetSet",
     "TunnelManager",
     "estimate_rtt",
+    "estimate_rtts",
     "measure_catchments",
     "select_targets",
 ]

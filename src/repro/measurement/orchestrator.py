@@ -12,13 +12,15 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.util.rng import derive_rng, stable_hash
+import numpy as np
+
+from repro.util.rng import KeyedStream, derive_rng, pack_counters, stable_hash
 
 from repro.bgp.dataplane import DataPlane, ForwardingOutcome
 from repro.bgp.engine import BGPEngine, ConvergedState, SiteInjection
 from repro.core.config import AnycastConfig
 from repro.measurement.icmp import IcmpProber
-from repro.measurement.rtt import RttMatrix, estimate_rtt
+from repro.measurement.rtt import RttMatrix, estimate_rtts
 from repro.measurement.targets import PingTarget, TargetSet
 from repro.measurement.tunnels import TunnelManager
 from repro.measurement.verfploeter import CatchmentMap, measure_catchments
@@ -32,7 +34,7 @@ from repro.runtime.retry import FailedExperiment, RetryPolicy, run_with_retry
 from repro.runtime.settings import CampaignSettings, resolve_settings
 from repro.topology.astopo import Relationship
 from repro.topology.testbed import Testbed
-from repro.util.errors import ConfigurationError, MeasurementError
+from repro.util.errors import ConfigurationError
 from repro.util.stats import mean
 
 logger = get_logger("orchestrator")
@@ -94,6 +96,16 @@ class Deployment:
         self._forwarding_cache[target.target_id] = outcome
         return outcome
 
+    def _true_rtts(
+        self, targets: List[PingTarget], outcomes: List[ForwardingOutcome]
+    ) -> np.ndarray:
+        """Ground-truth RTTs of routed targets, drift included."""
+        drift = self.orchestrator.rtt_drift_factors(
+            self.experiment_id, np.array([t.target_id for t in targets])
+        )
+        path = np.array([o.rtt_ms for o in outcomes], dtype=np.float64)
+        return path * drift + np.array([t.last_mile_rtt_ms for t in targets])
+
     def true_rtt(self, target: PingTarget) -> Optional[float]:
         """Ground-truth RTT between the target and its catchment site.
 
@@ -105,8 +117,7 @@ class Deployment:
         outcome = self.forwarding(target)
         if outcome is None:
             return None
-        drift = self.orchestrator.rtt_drift_factor(self.experiment_id, target.target_id)
-        return outcome.rtt_ms * drift + target.last_mile_rtt_ms
+        return float(self._true_rtts([target], [outcome])[0])
 
     # -- measurements ---------------------------------------------------------
 
@@ -122,20 +133,37 @@ class Deployment:
             self._ensure_probe_session()
             return measure_catchments(self, targets, self.orchestrator.prober)
 
-    def measure_rtt(self, target: PingTarget) -> Optional[float]:
-        """Median-of-seven RTT estimate to the target's catchment site."""
+    def measure_rtts(
+        self, targets: Optional[Iterable[PingTarget]] = None
+    ) -> List[Optional[float]]:
+        """Median-of-seven RTT estimate to each target's catchment
+        site, in target order (None: unreachable, or too few replies).
+
+        All targets are probed in one pass over the deployment.
+        """
+        targets = list(self.orchestrator.targets if targets is None else targets)
         self._ensure_probe_session()
-        outcome = self.forwarding(target)
-        if outcome is None:
-            return None
-        return estimate_rtt(
-            self.orchestrator.prober,
-            self.orchestrator.tunnels,
-            target,
-            outcome.site_id,
-            self.true_rtt(target),
-            self.experiment_id,
-        )
+        outcomes = [self.forwarding(target) for target in targets]
+        routed = [i for i, outcome in enumerate(outcomes) if outcome is not None]
+        rtts: List[Optional[float]] = [None] * len(targets)
+        if routed:
+            routed_targets = [targets[i] for i in routed]
+            routed_outcomes = [outcomes[i] for i in routed]
+            estimates = estimate_rtts(
+                self.orchestrator.prober,
+                self.orchestrator.tunnels,
+                routed_targets,
+                [o.site_id for o in routed_outcomes],
+                self._true_rtts(routed_targets, routed_outcomes),
+                self.experiment_id,
+            )
+            for i, estimate in zip(routed, estimates):
+                rtts[i] = estimate
+        return rtts
+
+    def measure_rtt(self, target: PingTarget) -> Optional[float]:
+        """:meth:`measure_rtts` for one target."""
+        return self.measure_rtts([target])[0]
 
     def measure_mean_rtt(
         self, targets: Optional[Iterable[PingTarget]] = None
@@ -148,8 +176,7 @@ class Deployment:
         is a typed empty outcome, not an exception, so optimizer and
         baseline sweeps can skip the configuration and continue.
         """
-        targets = self.orchestrator.targets if targets is None else targets
-        rtts = [r for r in (self.measure_rtt(t) for t in targets) if r is not None]
+        rtts = [r for r in self.measure_rtts(targets) if r is not None]
         if not rtts:
             self.orchestrator.metrics.counter("measurements_empty").increment()
             logger.warning(
@@ -449,9 +476,8 @@ class Orchestrator:
                     ) % 1_000_000
         return overlay
 
-    def rtt_drift_factor(self, experiment_id: int, target_id: int) -> float:
-        """Multiplicative path-RTT drift for one target in one
-        experiment.
+    def rtt_drift_factors(self, experiment_id: int, target_ids: np.ndarray) -> np.ndarray:
+        """Multiplicative path-RTT drift per target in one experiment.
 
         Combines a per-experiment epoch bias (path changes between the
         singleton RTT campaign and a later deployment shift whole
@@ -459,13 +485,18 @@ class Orchestrator:
         noise; bounded away from zero to stay physical.
         """
         if self.rtt_drift_sigma == 0.0 and self.rtt_bias_sigma == 0.0:
-            return 1.0
-        bias_rng = derive_rng(self.seed, "rtt-bias", experiment_id)
-        rng = derive_rng(self.seed, "rtt-drift", experiment_id, target_id)
-        factor = (1.0 + bias_rng.gauss(0.0, self.rtt_bias_sigma)) * (
-            1.0 + rng.gauss(0.0, self.rtt_drift_sigma)
+            return np.ones(len(target_ids))
+        bias = KeyedStream(self.seed, "rtt-bias", experiment_id).gauss(
+            pack_counters([0], [0]), self.rtt_bias_sigma
         )
-        return max(0.7, factor)
+        noise = KeyedStream(self.seed, "rtt-drift", experiment_id).gauss(
+            pack_counters(target_ids, 0), self.rtt_drift_sigma
+        )
+        return np.maximum(0.7, (1.0 + bias) * (1.0 + noise))
+
+    def rtt_drift_factor(self, experiment_id: int, target_id: int) -> float:
+        """:meth:`rtt_drift_factors` for one target."""
+        return float(self.rtt_drift_factors(experiment_id, np.array([target_id]))[0])
 
     def _injections(self, config: AnycastConfig) -> List[SiteInjection]:
         spacing = (

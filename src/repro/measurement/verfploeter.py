@@ -8,7 +8,9 @@ probes are all lost stays unmapped for that experiment.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
+
+import numpy as np
 
 from repro.measurement.icmp import IcmpProber
 from repro.measurement.targets import PingTarget
@@ -51,28 +53,30 @@ def measure_catchments(
     prober: IcmpProber,
     retries: int = 3,
 ) -> CatchmentMap:
-    """Map every target's catchment under ``deployment``.
+    """Map every target's catchment under ``deployment``, in one pass.
 
-    ``deployment`` must expose ``experiment_id``, ``forwarding(target)``
-    and ``true_rtt(target)`` (see
+    ``deployment`` must expose ``experiment_id`` and
+    ``forwarding(target)`` (see
     :class:`repro.measurement.orchestrator.Deployment`).  Each target is
-    probed up to ``1 + retries`` times; loss applies per probe.
+    probed up to ``1 + retries`` times and is mapped as soon as one
+    reply returns; loss applies per probe.
     """
+    targets = list(targets)
+    outcomes = [deployment.forwarding(target) for target in targets]
+    # A target without a route back to any site never replies.
+    sites: List[Optional[int]] = [None] * len(targets)
+    routed = [i for i, outcome in enumerate(outcomes) if outcome is not None]
+    if routed:
+        lost = prober.lost(
+            deployment.experiment_id,
+            np.array([targets[i].target_id for i in routed]),
+            np.array([targets[i].loss_rate for i in routed]),
+            range(100, 101 + retries),
+        )
+        for i, replied in zip(routed, (~lost.all(axis=1)).tolist()):
+            if replied:
+                sites[i] = outcomes[i].site_id
     cmap = CatchmentMap(experiment_id=deployment.experiment_id)
-    for target in targets:
-        outcome = deployment.forwarding(target)
-        if outcome is None:
-            # No route back to any site: the reply never arrives.
-            cmap.mapping[target.target_id] = None
-            continue
-        site: Optional[int] = None
-        true_rtt = deployment.true_rtt(target)
-        for attempt in range(1 + retries):
-            result = prober.probe(
-                target, true_rtt, deployment.experiment_id, sequence=100 + attempt
-            )
-            if not result.lost:
-                site = outcome.site_id
-                break
+    for target, site in zip(targets, sites):
         cmap.mapping[target.target_id] = site
     return cmap

@@ -169,7 +169,9 @@ class ModelServer:
         self.host = host
         self.port = port
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+        # A tracer keeps every finished span, one per request: only a
+        # traced server (``anyopt serve --trace``) records them.
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._clock: Clock = clock if clock is not None else time.monotonic
         self.live = LiveMetrics(clock=self._clock)
         self.slo = SloEngine(

@@ -26,10 +26,7 @@ and floats the live path produces (float64 round-trips exactly).
 
 from typing import Dict, Iterable, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None
+import numpy as np
 
 from repro.core.config import AnycastConfig
 from repro.core.prediction import (
@@ -56,8 +53,6 @@ class LookupEngine:
     """
 
     def __init__(self, snapshot: Snapshot):
-        if np is None:  # pragma: no cover - numpy is present in CI
-            raise SnapshotError("the lookup engine needs numpy")
         self.snapshot = snapshot
         arrays = snapshot.arrays
         self._clients = arrays["clients"]

@@ -50,10 +50,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-try:  # numpy is what makes the compiled format worth having
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None
+import numpy as np
 
 from repro.core.prediction import model_clients
 from repro.util.errors import ReproError
@@ -77,14 +74,6 @@ _ARRAY_NAMES = (
 
 class SnapshotError(ReproError):
     """A snapshot file is corrupt, truncated, or version-skewed."""
-
-
-def _require_numpy():
-    if np is None:  # pragma: no cover - numpy is present in CI
-        raise SnapshotError(
-            "model snapshots need numpy; install it or query the live "
-            "CatchmentPredictor instead"
-        )
 
 
 @dataclass
@@ -168,7 +157,6 @@ def compile_snapshot(model) -> Snapshot:
     lookups and ``CatchmentPredictor.predict`` agree on which clients
     are ``unmapped``.
     """
-    _require_numpy()
     from repro.audit.repair import model_fingerprint
 
     twolevel = model.twolevel
@@ -326,7 +314,6 @@ def load_snapshot(path: str, verify: bool = True) -> Snapshot:
     than serving wrong predictions.  The read-only mapping is shared
     between every process that loads the same file.
     """
-    _require_numpy()
     header, payload_start = _read_header_and_offset(path)
 
     with open(path, "rb") as fh:

@@ -11,10 +11,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.util.errors import ConfigurationError, ReproError
 
-try:  # numpy accelerates subset enumeration but is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+import numpy as _np
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ class SPLPOInstance:
     # -- vectorized evaluation ------------------------------------------------
 
     def _ensure_matrices(self):
-        if self._rank_matrix is not None or _np is None:
+        if self._rank_matrix is not None:
             return
         n_f = len(self.facilities)
         n_c = len(self.clients)
@@ -181,10 +178,9 @@ class SPLPOInstance:
     def fast_cost(self, open_facilities: Iterable[int], unserved_penalty: float = math.inf) -> float:
         """Vectorized :meth:`cost` (numpy); identical semantics.
 
-        Falls back to the pure-Python path when numpy is unavailable
-        or capacities are set.
+        Falls back to the pure-Python path when capacities are set.
         """
-        if _np is None or self.capacities is not None:
+        if self.capacities is not None:
             return self.cost(open_facilities, unserved_penalty)
         open_set = frozenset(open_facilities)
         if not open_set:

@@ -47,10 +47,6 @@ class TopologyTables:
             per-message import path pays a single lookup.
         prop_delay: one-way control-plane delay per directed ``(a,
             b)`` link, for update scheduling without a link lookup.
-        index_asn: the sorted ASN tuple — the dense index space the
-            columnar RIB (:class:`repro.bgp.rib.ColumnarRib`) and the
-            delta engine's aggregation arrays are laid out over.
-        asn_index: inverse of ``index_asn`` (ASN → dense index).
         stub_providers: per *pure stub* ASN, the sorted tuple of its
             provider ASNs.  A pure stub is an AS every one of whose
             sessions is with a provider (any homing degree): whatever
@@ -75,8 +71,6 @@ class TopologyTables:
         default_factory=dict
     )
     prop_delay: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    index_asn: Tuple[int, ...] = ()
-    asn_index: Dict[int, int] = field(default_factory=dict)
     stub_providers: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     stub_provider: Dict[int, int] = field(default_factory=dict)
     revision: int = 0
@@ -91,8 +85,6 @@ class TopologyTables:
 def build_tables(graph: ASGraph, revision: int = 0) -> TopologyTables:
     """Derive :class:`TopologyTables` from ``graph`` (one O(V+E) pass)."""
     tables = TopologyTables(revision=revision)
-    tables.index_asn = tuple(graph.asns())
-    tables.asn_index = {asn: i for i, asn in enumerate(tables.index_asn)}
     for asn in graph.asns():
         node = graph.as_of(asn)
         neighbors = graph.neighbors(asn)

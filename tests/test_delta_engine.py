@@ -24,10 +24,6 @@ from repro.topology.astopo import Relationship
 from repro.topology.generator import ScaleSweepParams, generate_scale_internet
 from repro.util.errors import ConvergenceBudgetError
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    numpy = None
 
 SEED = 7
 
@@ -346,26 +342,3 @@ class TestCampaignEquivalence:
                 for d in deployments
             ]
         assert outcomes["delta"] == outcomes["full"]
-
-
-@pytest.mark.skipif(numpy is None, reason="columnar RIB requires numpy")
-class TestColumnarEquivalence:
-    def test_columns_match_full_engine(self, testbed):
-        tables = testbed.internet.graph.tables()
-        injections = [injection(testbed, 1), injection(testbed, 6, t=360000.0)]
-        delta_rib = BGPEngine(testbed.internet).run(injections).columnar(tables)
-        full_rib = (
-            BGPEngine(testbed.internet, mode="full").run(injections).columnar(tables)
-        )
-        for column in (
-            "has_route",
-            "best_neighbor",
-            "local_pref",
-            "path_len",
-            "med",
-            "next_index",
-        ):
-            assert numpy.array_equal(
-                getattr(delta_rib, column), getattr(full_rib, column)
-            ), column
-        assert numpy.array_equal(delta_rib.host_asn_of(), full_rib.host_asn_of())

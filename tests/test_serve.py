@@ -9,7 +9,9 @@ configuration sweep and in both site-level discovery modes.
 
 import asyncio
 import json
+import os
 import random
+import signal
 
 import pytest
 
@@ -396,6 +398,57 @@ async def _http_text(port, path):
     body = (await reader.readexactly(length)).decode()
     writer.close()
     return status, content_type, body
+
+
+def _serve_via_cli(snapshot_path, monkeypatch, requests, *flags):
+    """Run ``anyopt serve`` in-process, send ``requests`` predicts over
+    one keep-alive connection, stop it with SIGTERM (its own graceful
+    shutdown path) and return the server."""
+    from repro.cli import main
+
+    servers, statuses, tasks = [], [], []
+    original_start = ModelServer.start
+
+    async def start(server):
+        await original_start(server)
+        servers.append(server)
+
+        async def drive():
+            try:
+                conn = await asyncio.open_connection("127.0.0.1", server.port)
+                for _ in range(requests):
+                    status, _ = await _http(
+                        server.port, "POST", "/predict", {"sites": [1, 4, 6]},
+                        reader_writer=conn,
+                    )
+                    statuses.append(status)
+                conn[1].close()
+            finally:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        # The loop keeps only weak references to tasks: hold this one.
+        tasks.append(asyncio.ensure_future(drive()))
+
+    monkeypatch.setattr(ModelServer, "start", start)
+    code = main(["serve", "--snapshot", snapshot_path, "--port", "0", *flags])
+    assert code == 0
+    assert statuses == [200] * requests
+    return servers[0]
+
+
+class TestServeSpans:
+    def test_untraced_server_retains_no_spans(self, snapshot_path, monkeypatch):
+        server = _serve_via_cli(snapshot_path, monkeypatch, 200)
+        assert server.tracer.finished_count == 0
+
+    def test_trace_flag_still_writes_request_spans(
+        self, snapshot_path, monkeypatch, tmp_path
+    ):
+        trace = tmp_path / "serve-trace.jsonl"
+        server = _serve_via_cli(snapshot_path, monkeypatch, 20, "--trace", str(trace))
+        assert server.tracer.finished_count == 20
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["name"] for r in records] == ["http-request"] * 20
 
 
 class TestLiveEndpoints:
