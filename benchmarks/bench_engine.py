@@ -25,10 +25,11 @@ root, so regressions show up in review diffs):
   (``overhead_pct``; the budget is under 10%).
 - **scale**: internet-sized sweep topologies (1k/5k/10k ASes from
   :func:`generate_scale_internet`): the delta engine (wavefront
-  replay + stub aggregation, the default) versus the full engine on
-  the same workloads, asserting bit-identical converged states at
-  every size before timing and recording the aggregation ratio and
-  touched-AS fraction that explain the speedup.
+  replay + stub aggregation, the default) versus the per-run
+  reference (``reuse_state=False``) on the same workloads, asserting
+  bit-identical converged states at every size before timing and
+  recording the aggregation ratio and touched-AS fraction that
+  explain the speedup.
 
 Run it from the repo root::
 
@@ -157,7 +158,8 @@ def bench_obs(quick: bool) -> dict:
 
 
 def bench_scale(quick: bool) -> dict:
-    """Delta versus full engine across internet-sized topologies.
+    """Delta engine versus the reference across internet-sized
+    topologies.
 
     Bit-identity is asserted (states, convergence time, message count,
     enabled sites) on shared workloads before anything is timed, so a
@@ -171,11 +173,11 @@ def bench_scale(quick: bool) -> dict:
         graph = internet.graph
         workloads = _engine_workloads(internet)[:15]
         delta = BGPEngine(internet)
-        full = BGPEngine(internet, mode="full")
+        reference = BGPEngine(internet, reuse_state=False)
 
         for w in workloads[: 4 if quick else 8]:
             a = delta.run(w)
-            b = full.run(w)
+            b = reference.run(w)
             if not (
                 a.states == b.states
                 and a.convergence_time_ms == b.convergence_time_ms
@@ -183,20 +185,23 @@ def bench_scale(quick: bool) -> dict:
                 and a.enabled_sites == b.enabled_sites
             ):
                 raise AssertionError(
-                    f"delta engine diverged from full engine at {n} ASes"
+                    f"delta engine diverged from the reference at {n} ASes"
                 )
 
-        # The full engine replays the whole cascade per run, so it gets
-        # a small, separately-sized batch; the delta engine's batch is
-        # large enough for a stable per-run figure.
+        # The reference rebuilds every speaker and replays the whole
+        # cascade per run, so it gets a small, separately-sized batch;
+        # the delta engine's batch is large enough for a stable
+        # per-run figure.
         delta_runs = 10 if quick else 30
-        full_runs = 2 if quick else 3
+        reference_runs = 2 if quick else 3
         _time_batch(delta, workloads, 2)
-        _time_batch(full, workloads, 1)
-        delta_best = full_best = float("inf")
+        _time_batch(reference, workloads, 1)
+        delta_best = reference_best = float("inf")
         for _ in range(trials):
             delta_best = min(delta_best, _time_batch(delta, workloads, delta_runs))
-            full_best = min(full_best, _time_batch(full, workloads, full_runs))
+            reference_best = min(
+                reference_best, _time_batch(reference, workloads, reference_runs)
+            )
 
         stats = delta._delta.last_run_stats
         tables = graph.tables()
@@ -207,9 +212,9 @@ def bench_scale(quick: bool) -> dict:
             "touched_fraction": round(stats["touched"] / len(graph), 4),
             "delta_events_per_run": stats["events"],
             "delta_runs_per_s": round(delta_runs / delta_best, 1),
-            "full_runs_per_s": round(full_runs / full_best, 2),
+            "reference_runs_per_s": round(reference_runs / reference_best, 2),
             "delta_speedup": round(
-                (full_best / full_runs) / (delta_best / delta_runs), 1
+                (reference_best / reference_runs) / (delta_best / delta_runs), 1
             ),
         })
     return {
@@ -329,7 +334,7 @@ def main(argv=None) -> int:
     scale = bench_scale(args.quick)
     for point in scale["points"]:
         print(f"scale[{point['n_ases']} ASes]: delta {point['delta_runs_per_s']} "
-              f"runs/s, full {point['full_runs_per_s']} runs/s "
+              f"runs/s, reference {point['reference_runs_per_s']} runs/s "
               f"-> {point['delta_speedup']}x "
               f"(agg {point['aggregation_ratio']:.0%}, "
               f"touched {point['touched_fraction']:.1%})")
@@ -358,7 +363,7 @@ def main(argv=None) -> int:
 
     payload = {
         "format": "anyopt-bench-engine",
-        "version": 3,
+        "version": 4,
         "quick": args.quick,
         "host": {
             "python": platform.python_version(),

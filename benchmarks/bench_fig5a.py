@@ -15,7 +15,7 @@ def test_fig5a_catchment_accuracy(benchmark, validation_sweep, bench_model, benc
     # Benchmark the offline prediction step for one configuration.
     config = reports[0].config
     benchmark.pedantic(
-        lambda: bench_model.predictor.predict_catchments(config, bench_targets),
+        lambda: bench_model.predictor.predict(config, bench_targets).sites(),
         rounds=3,
         iterations=1,
     )

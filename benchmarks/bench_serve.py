@@ -4,10 +4,10 @@ Measures what the serving layer is accountable for and writes
 ``BENCH_serve.json`` (committed at the repo root, so regressions show
 up in review diffs):
 
-- **lookup**: batched prediction throughput — the per-call
-  ``predict_catchment`` loop (the deprecated pre-redesign API, timed
-  with its warnings silenced), the live batched
-  ``CatchmentPredictor.predict``, and the snapshot-backed vectorized
+- **lookup**: batched prediction throughput — a per-call loop
+  (``CatchmentPredictor.predict`` with a one-client batch per call),
+  the live batched ``CatchmentPredictor.predict``, and the
+  snapshot-backed vectorized
   :class:`LookupEngine` (typed batch and raw arrays).  The acceptance
   bar is engine-vs-per-call ≥ 10x on the same host; the measured
   ratio is recorded, never massaged.
@@ -42,7 +42,6 @@ import random
 import statistics
 import sys
 import time
-import warnings
 
 if __package__ in (None, ""):  # running as a script: make repro importable
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -87,11 +86,9 @@ def bench_lookup(model, engine, testbed, quick) -> dict:
     def per_call_loop():
         for config in configs:
             for client in clients:
-                predictor.predict_catchment(client, config)
+                predictor.predict(config, [client])
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        per_call_s = best(per_call_loop)
+    per_call_s = best(per_call_loop)
 
     live_batch_s = best(
         lambda: [predictor.predict(config, clients) for config in configs]

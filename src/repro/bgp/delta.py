@@ -1,13 +1,13 @@
 """Delta convergence: internet-scale runs that only pay for the wavefront.
 
 A campaign runs thousands of experiments over one topology, and each
-experiment differs only in which sites announce.  The full engine path
-still pays three per-run costs proportional to the whole topology: a
-speaker-pool overlay sweep, a detach scan over every AS, and one heap
-event per delivered update — including the huge majority delivered to
-stub ASes that can never say anything back.
+experiment differs only in which sites announce.  The reference engine
+path (one fresh speaker per AS per run) pays per-run costs proportional
+to the whole topology: building every speaker, and one heap event per
+delivered update — including the huge majority delivered to stub ASes
+that can never say anything back.
 
-This module removes all three, bit-identically:
+This module removes both, bit-identically:
 
 - **Touched-AS tracking / copy-on-restore**: the per-topology base
   state is the empty RIB (only the anycast prefix exists), so a run's
@@ -32,17 +32,17 @@ This module removes all three, bit-identically:
   synthesized lazily from the episode log on first read
   (:class:`LazyStates`), and message/event counts and the convergence
   timestamp are reconstructed from episode arithmetic, so metrics and
-  traces match the full path too.
+  traces match the reference path too.
 
 Bit-identity argument for the event order: removing a heap entry that
 generates no further events preserves the relative order of all
 remaining entries (the tie-breaking sequence numbers are monotonic in
 push order, and a subsequence keeps its order), so every live AS sees
-the exact event sequence the full path delivers.  A provider never
+the exact event sequence the reference path delivers.  A provider never
 sends consecutive duplicates to one neighbor (``advertised_to`` dedup)
 and link delay plus per-run jitter are constant per directed pair, so
 deliveries to a stub arrive in send order and the episode replay
-reproduces exactly the deliveries the full path makes.  Poisoned
+reproduces exactly the deliveries the reference path makes.  Poisoned
 episodes (an aggregated stub spliced into the announced path, which
 the real export loop skips for that stub) mark the provider
 *complicated* and fall back to an exact per-stub replay of its episode
@@ -77,8 +77,8 @@ class _PrunedTables:
     """Core speakers' view of the topology tables: identical session
     imports, export bases with the aggregated stubs removed.  Pruning
     preserves the base's sorted order (a subsequence of a sorted tuple),
-    so the surviving exports are emitted in exactly the full path's
-    relative order."""
+    so the surviving exports are emitted in exactly the reference
+    path's relative order."""
 
     __slots__ = ("session_import", "export_all", "export_customers")
 
@@ -138,14 +138,14 @@ class LazyStates(Mapping):
     on first read.
 
     Behaves exactly like the ``Dict[int, RouterState]`` the engine's
-    other paths return: same keys (every AS in the topology), same
+    reference path returns: same keys (every AS in the topology), same
     values (by ``==``).  Internally it holds only the states the run
     actually materialized; untouched ASes resolve to the shared
     pristine state, aggregated stubs are built from their providers'
     episode logs on demand (then cached), and a touched provider's
     ``advertised_to`` entries for its aggregated stubs are patched in
     on first access.  Pickling materializes to a plain dict, so
-    persisted convergence-store entries are engine-mode agnostic.
+    persisted convergence-store entries are plain state dicts.
     """
 
     __slots__ = ("_materialized", "_pristine", "_aggregated", "_synth", "_pending", "_patch")
@@ -208,13 +208,13 @@ class LazyStates(Mapping):
 
 
 class DeltaConverger:
-    """The delta-mode convergence core of one :class:`BGPEngine`.
+    """The delta convergence core of one :class:`BGPEngine`.
 
     Owns a pool of *core* speaker sets (every AS except the aggregated
     stubs) plus the shared pristine states, both keyed to the graph's
     current :class:`~repro.topology.precompute.TopologyTables`.  Safe
     to share across executor threads: each run checks out its own
-    speaker set, exactly like the engine's full path.
+    speaker set.
     """
 
     def __init__(self, engine):
@@ -244,11 +244,7 @@ class DeltaConverger:
         self._pool = []
         self._pool_tables = tables
         self._pristine = {asn: RouterState(asn) for asn in graph.asns()}
-        aggregated = (
-            frozenset(tables.stub_providers)
-            if self.engine.aggregate_stubs
-            else frozenset()
-        )
+        aggregated = frozenset(tables.stub_providers)
         self._aggregated = aggregated
         parents: Dict[int, List[int]] = {}
         for stub in aggregated:
@@ -261,22 +257,17 @@ class DeltaConverger:
             p: max(prop_delay[(p, s)] for s in stubs)
             for p, stubs in self._parents.items()
         }
-        if aggregated:
-            export_all = {
-                asn: tuple(t for t in targets if t not in aggregated)
-                for asn, targets in tables.export_all.items()
-                if asn not in aggregated
-            }
-            export_customers = {
-                asn: tuple(t for t in targets if t not in aggregated)
-                for asn, targets in tables.export_customers.items()
-                if asn not in aggregated
-            }
-            self._pruned = _PrunedTables(
-                tables.session_import, export_all, export_customers
-            )
-        else:
-            self._pruned = None
+        export_all = {
+            asn: tuple(t for t in targets if t not in aggregated)
+            for asn, targets in tables.export_all.items()
+            if asn not in aggregated
+        }
+        export_customers = {
+            asn: tuple(t for t in targets if t not in aggregated)
+            for asn, targets in tables.export_customers.items()
+            if asn not in aggregated
+        }
+        self._pruned = _PrunedTables(tables.session_import, export_all, export_customers)
 
     def _checkout(self, tables, igp_overlay):
         graph = self.engine.internet.graph
@@ -287,10 +278,10 @@ class DeltaConverger:
         aggregated = self._aggregated
         if speakers is None:
             prefix = self.engine.prefix
-            speaker_tables = self._pruned if self._pruned is not None else tables
+            pruned = self._pruned
             speakers = {
                 asn: BGPSpeaker(
-                    graph, graph.as_of(asn), prefix, igp_overlay, tables=speaker_tables
+                    graph, graph.as_of(asn), prefix, igp_overlay, tables=pruned
                 )
                 for asn in graph.asns()
                 if asn not in aggregated
@@ -312,7 +303,6 @@ class DeltaConverger:
         self,
         injections,
         igp_overlay,
-        delay_jitter_ms,
         jitter: Dict[Tuple[int, int], float],
         withdrawals,
         budget: int,
@@ -322,7 +312,7 @@ class DeltaConverger:
 
         ``jitter`` is the per-run delay jitter the engine already drew
         (the RNG stream iterates the full link list, so drawing it in
-        one place keeps every mode on the same stream).
+        one place keeps both engine paths on the same stream).
         """
         engine = self.engine
         graph = engine.internet.graph
@@ -578,7 +568,7 @@ class DeltaConverger:
         provider session and the speaker's decision step over the
         result: same import values, same route constructor, same
         decision, so the synthesized state is ``==`` to the one the
-        full path builds by simulation.
+        reference path builds by simulation.
         """
         session_import = tables.session_import
         stub_providers = tables.stub_providers
@@ -630,7 +620,7 @@ class DeltaConverger:
     def _make_patch(self, tables, ep_log, complicated, stubs_run):
         """The provider ``advertised_to`` patcher: re-adds the entries
         the pruned export base never wrote, value-equal to the routes
-        the full path's export loop shares across its targets."""
+        the reference path's export loop shares across its targets."""
         parents = self._parents
         stubs_run_get = stubs_run.get
         prefix = self.engine.prefix

@@ -8,18 +8,18 @@ build, the *arrival order* of competing advertisements at every AS is
 deterministic — which is exactly what the paper's S4.2 experiments
 manipulate by spacing announcements.
 
-Campaigns run the engine thousands of times over one topology, so the
-engine keeps a pool of speakers (and the graph's precomputed
-:class:`~repro.topology.precompute.TopologyTables`) alive across runs:
-a run only pays for the state it actually touched, not for rebuilding
-one speaker and one dict per AS.  ``reuse_state=False`` selects the
-original build-everything-per-run path, kept as the reference the fast
-path is benchmarked and bit-compared against.
+Campaigns run the engine thousands of times over one topology, so by
+default each run goes through :mod:`repro.bgp.delta`, which keeps its
+speakers (and the graph's precomputed
+:class:`~repro.topology.precompute.TopologyTables`) alive across runs
+and only pays for the state a run actually touched.
+``reuse_state=False`` selects the build-everything-per-run path, kept
+as the reference the delta path is benchmarked and bit-compared
+against.
 """
 
 import heapq
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -135,22 +135,15 @@ class BGPEngine:
     ``metrics`` (a :class:`repro.runtime.metrics.MetricsRegistry`)
     receives the convergence work counters.
 
-    ``reuse_state=True`` (the default) enables the pooled fast path:
-    speaker sets are checked out of a pool per run and returned after
-    their touched state has been detached into the result, so repeated
-    runs allocate O(state actually carried) instead of O(|ASes|)
-    speakers and dicts.  Concurrent runs each check out their own
-    speaker set, so one engine remains safe to share across executor
-    threads.  ``reuse_state=False`` rebuilds everything per run (the
-    pre-pool behavior); both paths produce identical results.
-
-    ``mode`` selects how the pooled path converges: ``"delta"`` (the
-    default) tracks the touched-AS set, restores only it between runs,
-    and — with ``aggregate_stubs`` — collapses pure-stub ASes (every
-    session with a provider, any homing degree) out of the event heap
-    entirely (see :mod:`repro.bgp.delta`);
-    ``"full"`` keeps a live speaker per AS.  All three paths (delta,
-    full, and the ``reuse_state=False`` reference) are bit-identical.
+    The engine has two convergence paths, bit-identical to each other.
+    ``reuse_state=True`` (the default) runs delta convergence (see
+    :mod:`repro.bgp.delta`): it tracks the touched-AS set, restores
+    only it between runs, and collapses pure-stub ASes (every session
+    with a provider, any homing degree) out of the event heap.  Each
+    run checks out its own speaker set, so one engine remains safe to
+    share across executor threads.  ``reuse_state=False`` builds one
+    speaker per AS for every run: the reference the delta path is
+    tested and benchmarked against.
 
     ``max_events`` caps the events one run may process; ``None``
     auto-scales the cap with topology size.  Exhausting it raises
@@ -167,12 +160,8 @@ class BGPEngine:
         metrics=None,
         tracer=None,
         reuse_state: bool = True,
-        mode: str = "delta",
-        aggregate_stubs: bool = True,
         max_events: Optional[int] = None,
     ):
-        if mode not in ("delta", "full"):
-            raise ReproError(f"engine mode must be 'delta' or 'full', got {mode!r}")
         if max_events is not None and max_events < 1:
             raise ReproError("max_events must be >= 1 (or None for auto)")
         self.internet = internet
@@ -182,16 +171,8 @@ class BGPEngine:
         self.metrics = metrics
         self.tracer = tracer
         self.reuse_state = reuse_state
-        self.mode = mode
-        self.aggregate_stubs = aggregate_stubs
         self.max_events = max_events
-        self._pool_lock = threading.Lock()
-        self._pool: List[Dict[int, BGPSpeaker]] = []
-        self._pool_tables = None
-        # Pristine states handed out for ASes a run never gave a route
-        # to; shared across results, never given to a speaker.
-        self._pristine: Dict[int, RouterState] = {}
-        self._delta = DeltaConverger(self) if mode == "delta" else None
+        self._delta = DeltaConverger(self) if reuse_state else None
 
     def event_budget(self) -> int:
         """The per-run event cap: explicit ``max_events``, or a budget
@@ -200,62 +181,6 @@ class BGPEngine:
         if self.max_events is not None:
             return self.max_events
         return max(_MAX_EVENTS, _EVENTS_PER_AS * len(self.internet.graph))
-
-    # -- speaker pool ---------------------------------------------------
-
-    def _checkout_speakers(self, tables, igp_overlay):
-        """Borrow a speaker set for one run (build one on pool miss)."""
-        graph = self.internet.graph
-        with self._pool_lock:
-            if self._pool_tables is not tables:
-                # First run, or the topology mutated: pooled speakers
-                # hold stale derived data, so start the pool over.
-                self._pool = []
-                self._pool_tables = tables
-                self._pristine = {asn: RouterState(asn) for asn in graph.asns()}
-            speakers = self._pool.pop() if self._pool else None
-        if speakers is None:
-            speakers = {
-                asn: BGPSpeaker(
-                    graph, graph.as_of(asn), self.prefix, igp_overlay, tables=tables
-                )
-                for asn in graph.asns()
-            }
-        else:
-            overlay = igp_overlay or {}
-            for sp in speakers.values():
-                sp.igp_overlay = overlay
-        return speakers
-
-    def _release_speakers(self, speakers, tables):
-        """Return a speaker set whose state has been detached.
-
-        Only called after a successful run; a run that raised leaves
-        its speakers to the garbage collector rather than risk
-        returning half-mutated state to the pool.
-        """
-        with self._pool_lock:
-            if self._pool_tables is tables:
-                self._pool.append(speakers)
-
-    def _detach_states(self, speakers) -> Dict[int, RouterState]:
-        """Move each touched speaker's state into a result dict.
-
-        Speakers that ended the run with an empty state (never reached,
-        or withdrawn back to empty) keep their state object and the
-        result gets the shared pristine state instead — those are the
-        ASes whose allocations the pool saves.
-        """
-        states: Dict[int, RouterState] = {}
-        pristine = self._pristine
-        for asn, sp in speakers.items():
-            st = sp.state
-            if st.adj_rib_in or st.advertised_to or st.best is not None or st.multipath:
-                states[asn] = st
-                sp.state = RouterState(asn)
-            else:
-                states[asn] = pristine[asn]
-        return states
 
     def run(
         self,
@@ -332,12 +257,12 @@ class BGPEngine:
                 jitter[(link.b, link.a)] = rng.expovariate(1.0 / delay_jitter_ms)
 
         budget = self.event_budget()
-        if self.reuse_state and self._delta is not None:
+        if self._delta is not None:
             states, last_time, messages, events = self._delta.converge(
-                injections, igp_overlay, delay_jitter_ms, jitter, withdrawals, budget
+                injections, igp_overlay, jitter, withdrawals, budget
             )
         else:
-            states, last_time, messages, events = self._run_full(
+            states, last_time, messages, events = self._run_reference(
                 injections, igp_overlay, jitter, withdrawals, budget
             )
 
@@ -379,26 +304,16 @@ class BGPEngine:
             self.cache.store(cache_key, state)
         return state
 
-    def _run_full(self, injections, igp_overlay, jitter, withdrawals, budget):
-        """The full event loop: one live speaker per AS.
-
-        Serves both the pooled ``mode="full"`` path (shared topology
-        tables, speaker pool) and — with ``reuse_state=False`` — the
-        build-everything-per-run reference every fast path is
-        bit-compared against.
+    def _run_reference(self, injections, igp_overlay, jitter, withdrawals, budget):
+        """The reference event loop: one fresh speaker per AS, every
+        session and delay looked up in the graph, nothing carried
+        between runs.  The delta path is bit-compared against it.
         """
         graph = self.internet.graph
-        if self.reuse_state:
-            tables = graph.tables()
-            speakers = self._checkout_speakers(tables, igp_overlay)
-            prop_delay = tables.prop_delay
-        else:
-            tables = None
-            speakers = {
-                asn: BGPSpeaker(graph, graph.as_of(asn), self.prefix, igp_overlay)
-                for asn in graph.asns()
-            }
-            prop_delay = None
+        speakers = {
+            asn: BGPSpeaker(graph, graph.as_of(asn), self.prefix, igp_overlay)
+            for asn in graph.asns()
+        }
 
         counter = itertools.count()
         heap: List[Tuple[float, int, str, int, int, Optional[Tuple[int, ...]], int]] = []
@@ -415,12 +330,8 @@ class BGPEngine:
         messages = 0
         last_time = 0.0
         events = 0
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        next_seq = counter.__next__
-        jitter_get = jitter.get
         while heap:
-            time_ms, _, kind, receiver, sender, as_path, med = heappop(heap)
+            time_ms, _, kind, receiver, sender, as_path, med = heapq.heappop(heap)
             events += 1
             if events > budget:
                 # The census scan is failure-path-only, so the hot loop
@@ -468,30 +379,15 @@ class BGPEngine:
             else:  # pragma: no cover - defensive
                 raise ReproError(f"unknown event kind {kind!r}")
 
-            if prop_delay is not None:
-                for update in out:
-                    neighbor = update.neighbor
-                    pair = (receiver, neighbor)
-                    arrive = time_ms + prop_delay[pair] + jitter_get(pair, 0.0)
-                    path = update.as_path
-                    if path is None:
-                        heappush(heap, (arrive, next_seq(), "withdraw", neighbor, receiver, None, 0))
-                    else:
-                        heappush(heap, (arrive, next_seq(), "announce", neighbor, receiver, path, update.med))
-            else:
-                for update in out:
-                    link = graph.link(receiver, update.neighbor)
-                    arrive = time_ms + link.prop_delay_ms + jitter.get(
-                        (receiver, update.neighbor), 0.0
-                    )
-                    if update.as_path is None:
-                        schedule(arrive, "withdraw", update.neighbor, receiver, None)
-                    else:
-                        schedule(arrive, "announce", update.neighbor, receiver, update.as_path, update.med)
+            for update in out:
+                link = graph.link(receiver, update.neighbor)
+                arrive = time_ms + link.prop_delay_ms + jitter.get(
+                    (receiver, update.neighbor), 0.0
+                )
+                if update.as_path is None:
+                    schedule(arrive, "withdraw", update.neighbor, receiver, None)
+                else:
+                    schedule(arrive, "announce", update.neighbor, receiver, update.as_path, update.med)
 
-        if self.reuse_state:
-            states = self._detach_states(speakers)
-            self._release_speakers(speakers, tables)
-        else:
-            states = {asn: sp.state for asn, sp in speakers.items()}
+        states = {asn: sp.state for asn, sp in speakers.items()}
         return states, last_time, messages, events

@@ -10,9 +10,9 @@ given (they feed the arrival-order tie-break of
 Speakers run in one of two modes.  With ``tables`` (a
 :class:`~repro.topology.precompute.TopologyTables`) they read import
 preferences, interior costs, and presorted export sets from the shared
-per-topology tables — the fast path the engine uses for repeated runs.
-Without tables they derive everything through per-call graph lookups,
-which is the reference path the fast path is tested against.  Both
+per-topology tables — the delta path the engine uses for repeated
+runs.  Without tables they derive everything through per-call graph
+lookups, which is the reference path the delta path is tested against.  Both
 produce identical updates in identical order.
 """
 
@@ -45,8 +45,8 @@ class BGPSpeaker:
 
     ``igp_overlay`` maps ``(asn, neighbor)`` to a session interior
     cost overriding the topology's static one — the engine uses it to
-    model interior-routing churn between experiments.  The engine's
-    speaker pool reassigns it between runs.
+    model interior-routing churn between experiments.  The delta
+    converger's speaker pool reassigns it between runs.
     """
 
     __slots__ = ("graph", "node", "prefix", "igp_overlay", "state", "_tables")

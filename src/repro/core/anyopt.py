@@ -23,7 +23,7 @@ from repro.measurement.orchestrator import Deployment, Orchestrator
 from repro.measurement.rtt import RttMatrix
 from repro.measurement.targets import TargetSet, select_targets
 from repro.runtime.executor import CampaignExecutor, make_executor
-from repro.runtime.settings import CampaignSettings, resolve_settings
+from repro.runtime.settings import CampaignSettings
 from repro.topology.testbed import Testbed
 
 
@@ -53,13 +53,9 @@ class AnyOpt:
     """End-to-end driver for the AnyOpt pipeline on a testbed.
 
     Campaign knobs — the drift/noise models plus the runtime options
-    (parallelism, convergence caching, and the convergence engine mode
-    ``engine_mode``/``aggregate_stubs``, which trades nothing away:
-    delta replay with stub aggregation is bit-identical to the full
-    engine and is the default) — live in one
-    :class:`~repro.runtime.settings.CampaignSettings` value.  The old
-    per-knob constructor kwargs (``session_churn_prob=`` etc.) are
-    still accepted for now but emit a :class:`DeprecationWarning`.
+    (parallelism, convergence caching, fault injection, retries) —
+    live in one :class:`~repro.runtime.settings.CampaignSettings`
+    value.
 
     With ``executor="process"`` the pool of forked workers is shared
     across the campaign's phases (discover → audit → repair → peers);
@@ -74,19 +70,8 @@ class AnyOpt:
         seed=0,
         site_level_mode: SiteLevelMode = SiteLevelMode.PAIRWISE,
         settings: Optional[CampaignSettings] = None,
-        *,
-        session_churn_prob: Optional[float] = None,
-        rtt_drift_sigma: Optional[float] = None,
-        rtt_bias_sigma: Optional[float] = None,
     ):
-        self.settings = resolve_settings(
-            settings,
-            "AnyOpt",
-            stacklevel=3,
-            session_churn_prob=session_churn_prob,
-            rtt_drift_sigma=rtt_drift_sigma,
-            rtt_bias_sigma=rtt_bias_sigma,
-        )
+        self.settings = settings if settings is not None else CampaignSettings()
         self.testbed = testbed
         self.seed = seed
         self.site_level_mode = site_level_mode

@@ -14,12 +14,9 @@ returning a typed :class:`Prediction` per client, with an explicit
 no usable total order under this configuration), or ``rtt-hole`` (a
 catchment but no RTT sample for it).  The serving layer
 (:mod:`repro.serve`), the audit cross-check, and report rendering all
-consume this one result type.  The older ``predict_catchment`` /
-``predict_rtt`` per-client methods survive as deprecated
-``Optional``-returning shims.
+consume this one result type.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
@@ -252,57 +249,11 @@ class CatchmentPredictor:
 
     def _catchment(self, client_id: int, config: AnycastConfig) -> Optional[int]:
         """The predicted catchment site, or None without a usable
-        total order (internal: no deprecation warning)."""
+        total order."""
         result = self.model.total_order(client_id, config.site_order)
         return result.most_preferred(config.sites)
 
-    # -- deprecated per-client shims -------------------------------------------
-
-    def predict_catchment(
-        self, client_id: int, config: AnycastConfig, *, stacklevel: int = 2
-    ) -> Optional[int]:
-        """Deprecated: the client's predicted catchment site, or None.
-
-        Use :meth:`predict` — it distinguishes *why* an answer is
-        missing.  ``stacklevel`` positions the warning at the
-        deprecated call site (shims forwarding from one frame deeper
-        pass 3), mirroring ``resolve_settings``.
-        """
-        warnings.warn(
-            "CatchmentPredictor.predict_catchment is deprecated; use "
-            "CatchmentPredictor.predict(config, clients) and read "
-            "Prediction.site",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return self._catchment(client_id, config)
-
-    def predict_rtt(
-        self, client_id: int, config: AnycastConfig, *, stacklevel: int = 2
-    ) -> Optional[float]:
-        """Deprecated: the client's predicted RTT, or None.
-
-        Use :meth:`predict` and read ``Prediction.rtt_ms``.
-        """
-        warnings.warn(
-            "CatchmentPredictor.predict_rtt is deprecated; use "
-            "CatchmentPredictor.predict(config, clients) and read "
-            "Prediction.rtt_ms",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        site = self._catchment(client_id, config)
-        if site is None:
-            return None
-        return self.rtt_matrix.values.get((site, client_id))
-
     # -- batch conveniences ----------------------------------------------------
-
-    def predict_catchments(
-        self, config: AnycastConfig, targets: Iterable[PingTarget]
-    ) -> Dict[int, Optional[int]]:
-        """client id -> predicted site (None when undecided)."""
-        return self.predict(config, targets).sites()
 
     def predict_mean_rtt(self, config: AnycastConfig, targets: Iterable[PingTarget]) -> float:
         """Predicted mean RTT over all predictable clients."""

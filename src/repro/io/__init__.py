@@ -19,6 +19,7 @@ campaign can be split across processes (and so the CLI can chain
 
 from repro.io.cachestore import ConvergenceStore, topology_fingerprint
 from repro.io.checkpoint import (
+    CheckpointError,
     DiscoveryProgress,
     RepairProgress,
     load_checkpoint,
@@ -42,6 +43,7 @@ from repro.io.serialization import (
 )
 
 __all__ = [
+    "CheckpointError",
     "ConvergenceStore",
     "DiscoveryProgress",
     "RepairProgress",

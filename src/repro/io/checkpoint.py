@@ -16,7 +16,10 @@ The on-disk format is a versioned JSON document
 atomically (tmp file + rename) so a crash mid-save leaves the previous
 checkpoint intact.  :func:`load_checkpoint` refuses checkpoints taken
 under a different seed, settings, or site-level mode, since replaying
-those would silently break determinism.
+those would silently break determinism.  A malformed document — wrong
+format or version, a missing key, or a settings field this library
+does not know (such as one retired since the checkpoint was written) —
+raises :class:`CheckpointError` naming what is wrong.
 """
 
 import dataclasses
@@ -35,6 +38,62 @@ from repro.runtime.settings import CampaignSettings
 from repro.util.errors import ConfigurationError, ReproError
 
 CHECKPOINT_FORMAT = "anyopt-checkpoint"
+
+
+class CheckpointError(ReproError):
+    """A checkpoint document cannot be read: wrong format or version,
+    a missing key, or a settings field this library does not know."""
+
+
+def _read_document(raw, fmt: str, build):
+    """Validate a checkpoint's format and version, then ``build(raw)``;
+    a key missing anywhere in the document becomes a
+    :class:`CheckpointError` naming it."""
+    got = raw.get("format") if isinstance(raw, dict) else type(raw).__name__
+    if got != fmt:
+        raise CheckpointError(f"expected a {fmt!r} document, got {got!r}")
+    if raw.get("version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported {fmt} version {raw.get('version')!r}; "
+            f"this library reads version {FORMAT_VERSION}"
+        )
+    try:
+        return build(raw)
+    except KeyError as exc:
+        raise CheckpointError(f"{fmt} document is missing key {exc.args[0]!r}") from None
+
+
+def _settings_from_dict(raw: Dict, fmt: str) -> CampaignSettings:
+    """Campaign settings saved in a checkpoint.  A field
+    :class:`CampaignSettings` does not have is an error, not silently
+    dropped: the checkpoint was taken under settings this library
+    cannot reproduce."""
+    known = {f.name for f in dataclasses.fields(CampaignSettings)}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise CheckpointError(
+            f"{fmt} settings carry unknown field(s) "
+            f"{', '.join(map(repr, unknown))}; this checkpoint cannot be resumed"
+        )
+    return CampaignSettings(**raw)
+
+
+def _rtt_to_rows(rtt_matrix: Optional[RttMatrix]) -> Optional[List]:
+    if rtt_matrix is None:
+        return None
+    return [
+        [site, target, value]
+        for (site, target), value in sorted(rtt_matrix.values.items())
+    ]
+
+
+def _rtt_from_rows(rows) -> Optional[RttMatrix]:
+    if rows is None:
+        return None
+    rtt_matrix = RttMatrix()
+    for site, target, value in rows:
+        rtt_matrix.set(site, target, value)
+    return rtt_matrix
 
 
 @dataclass
@@ -59,12 +118,6 @@ class DiscoveryProgress:
 
 def progress_to_dict(progress: DiscoveryProgress) -> Dict:
     """Serialize partial campaign state to a versioned dict."""
-    rtt_rows = None
-    if progress.rtt_matrix is not None:
-        rtt_rows = [
-            [site, target, value]
-            for (site, target), value in sorted(progress.rtt_matrix.values.items())
-        ]
     return {
         "format": CHECKPOINT_FORMAT,
         "version": FORMAT_VERSION,
@@ -72,7 +125,7 @@ def progress_to_dict(progress: DiscoveryProgress) -> Dict:
         "settings": dataclasses.asdict(progress.settings),
         "site_level_mode": progress.site_level_mode.value,
         "experiment_count": progress.experiment_count,
-        "rtt_matrix": rtt_rows,
+        "rtt_matrix": _rtt_to_rows(progress.rtt_matrix),
         "provider_matrix": (
             matrix_to_list(progress.provider_matrix)
             if progress.provider_matrix is not None
@@ -88,37 +141,26 @@ def progress_to_dict(progress: DiscoveryProgress) -> Dict:
 
 def progress_from_dict(raw: Dict) -> DiscoveryProgress:
     """Rebuild partial campaign state saved by :func:`progress_to_dict`."""
-    if raw.get("format") != CHECKPOINT_FORMAT:
-        raise ReproError(
-            f"expected a {CHECKPOINT_FORMAT!r} document, got {raw.get('format')!r}"
+
+    def build(raw: Dict) -> DiscoveryProgress:
+        return DiscoveryProgress(
+            seed=raw["seed"],
+            settings=_settings_from_dict(raw["settings"], CHECKPOINT_FORMAT),
+            site_level_mode=SiteLevelMode(raw["site_level_mode"]),
+            experiment_count=raw["experiment_count"],
+            rtt_matrix=_rtt_from_rows(raw["rtt_matrix"]),
+            provider_matrix=(
+                matrix_from_list(raw["provider_matrix"])
+                if raw["provider_matrix"] is not None
+                else None
+            ),
+            site_matrices={
+                int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
+            },
+            failures=[FailedExperiment.from_dict(f) for f in raw["failures"]],
         )
-    if raw.get("version") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported {CHECKPOINT_FORMAT} version {raw.get('version')!r}; "
-            f"this library reads version {FORMAT_VERSION}"
-        )
-    rtt_matrix = None
-    if raw["rtt_matrix"] is not None:
-        rtt_matrix = RttMatrix()
-        for site, target, value in raw["rtt_matrix"]:
-            rtt_matrix.set(site, target, value)
-    provider_matrix = (
-        matrix_from_list(raw["provider_matrix"])
-        if raw["provider_matrix"] is not None
-        else None
-    )
-    return DiscoveryProgress(
-        seed=raw["seed"],
-        settings=CampaignSettings(**raw["settings"]),
-        site_level_mode=SiteLevelMode(raw["site_level_mode"]),
-        experiment_count=raw["experiment_count"],
-        rtt_matrix=rtt_matrix,
-        provider_matrix=provider_matrix,
-        site_matrices={
-            int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
-        },
-        failures=[FailedExperiment.from_dict(f) for f in raw["failures"]],
-    )
+
+    return _read_document(raw, CHECKPOINT_FORMAT, build)
 
 
 def save_checkpoint(progress: DiscoveryProgress, path) -> None:
@@ -200,12 +242,6 @@ class RepairProgress:
 
 def repair_progress_to_dict(progress: RepairProgress) -> Dict:
     """Serialize a repair checkpoint to a JSON-compatible dict."""
-    rtt_rows = None
-    if progress.rtt_matrix is not None:
-        rtt_rows = [
-            [site, target, value]
-            for (site, target), value in sorted(progress.rtt_matrix.values.items())
-        ]
     return {
         "format": REPAIR_CHECKPOINT_FORMAT,
         "version": FORMAT_VERSION,
@@ -221,7 +257,7 @@ def repair_progress_to_dict(progress: RepairProgress) -> Dict:
         "rounds_completed": progress.rounds_completed,
         "budget_exhausted": progress.budget_exhausted,
         "transcript": progress.transcript,
-        "rtt_matrix": rtt_rows,
+        "rtt_matrix": _rtt_to_rows(progress.rtt_matrix),
         "provider_matrix": (
             matrix_to_list(progress.provider_matrix)
             if progress.provider_matrix is not None
@@ -238,45 +274,34 @@ def repair_progress_to_dict(progress: RepairProgress) -> Dict:
 def repair_progress_from_dict(raw: Dict) -> RepairProgress:
     """Rebuild a repair checkpoint saved by
     :func:`repair_progress_to_dict`, validating format and version."""
-    if raw.get("format") != REPAIR_CHECKPOINT_FORMAT:
-        raise ReproError(
-            f"expected a {REPAIR_CHECKPOINT_FORMAT!r} document, "
-            f"got {raw.get('format')!r}"
+
+    def build(raw: Dict) -> RepairProgress:
+        return RepairProgress(
+            seed=raw["seed"],
+            settings=_settings_from_dict(raw["settings"], REPAIR_CHECKPOINT_FORMAT),
+            announce_order=tuple(raw["announce_order"]),
+            max_rounds=raw["max_rounds"],
+            budget=raw["budget"],
+            escalate_attempts=raw["escalate_attempts"],
+            model_fingerprint=raw["model_fingerprint"],
+            experiment_count=raw["experiment_count"],
+            experiments_used=raw["experiments_used"],
+            rounds_completed=raw["rounds_completed"],
+            budget_exhausted=raw["budget_exhausted"],
+            transcript=raw["transcript"],
+            rtt_matrix=_rtt_from_rows(raw["rtt_matrix"]),
+            provider_matrix=(
+                matrix_from_list(raw["provider_matrix"])
+                if raw["provider_matrix"] is not None
+                else None
+            ),
+            site_matrices={
+                int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
+            },
+            failures=[FailedExperiment.from_dict(f) for f in raw["failures"]],
         )
-    if raw.get("version") != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported {REPAIR_CHECKPOINT_FORMAT} version "
-            f"{raw.get('version')!r}; this library reads version {FORMAT_VERSION}"
-        )
-    rtt_matrix = None
-    if raw["rtt_matrix"] is not None:
-        rtt_matrix = RttMatrix()
-        for site, target, value in raw["rtt_matrix"]:
-            rtt_matrix.set(site, target, value)
-    return RepairProgress(
-        seed=raw["seed"],
-        settings=CampaignSettings(**raw["settings"]),
-        announce_order=tuple(raw["announce_order"]),
-        max_rounds=raw["max_rounds"],
-        budget=raw["budget"],
-        escalate_attempts=raw["escalate_attempts"],
-        model_fingerprint=raw["model_fingerprint"],
-        experiment_count=raw["experiment_count"],
-        experiments_used=raw["experiments_used"],
-        rounds_completed=raw["rounds_completed"],
-        budget_exhausted=raw["budget_exhausted"],
-        transcript=raw["transcript"],
-        rtt_matrix=rtt_matrix,
-        provider_matrix=(
-            matrix_from_list(raw["provider_matrix"])
-            if raw["provider_matrix"] is not None
-            else None
-        ),
-        site_matrices={
-            int(p): matrix_from_list(m) for p, m in raw["site_matrices"].items()
-        },
-        failures=[FailedExperiment.from_dict(f) for f in raw["failures"]],
-    )
+
+    return _read_document(raw, REPAIR_CHECKPOINT_FORMAT, build)
 
 
 def save_repair_checkpoint(progress: RepairProgress, path) -> None:

@@ -31,7 +31,7 @@ from repro.runtime.executor import CampaignExecutor, SerialExecutor
 from repro.runtime.faults import FaultInjector
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.retry import FailedExperiment, RetryPolicy, run_with_retry
-from repro.runtime.settings import CampaignSettings, resolve_settings
+from repro.runtime.settings import CampaignSettings
 from repro.topology.astopo import Relationship
 from repro.topology.testbed import Testbed
 from repro.util.errors import ConfigurationError
@@ -193,8 +193,7 @@ _MISSING = object()
 class Orchestrator:
     """Deploys anycast configurations on the simulated Internet.
 
-    The noise knobs live in a :class:`CampaignSettings` value (the old
-    per-knob constructor kwargs still work but are deprecated):
+    The noise knobs live in a :class:`CampaignSettings` value:
 
     - ``session_churn_prob``: per-experiment probability that an AS's
       interior-routing state changed since the topology was built;
@@ -219,27 +218,11 @@ class Orchestrator:
         *,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        session_churn_prob: Optional[float] = None,
-        rtt_drift_sigma: Optional[float] = None,
-        rtt_bias_sigma: Optional[float] = None,
-        bgp_delay_jitter_ms: Optional[float] = None,
     ):
-        self.settings = resolve_settings(
-            settings,
-            "Orchestrator",
-            stacklevel=3,
-            session_churn_prob=session_churn_prob,
-            rtt_drift_sigma=rtt_drift_sigma,
-            rtt_bias_sigma=rtt_bias_sigma,
-            bgp_delay_jitter_ms=bgp_delay_jitter_ms,
-        )
+        self.settings = settings if settings is not None else CampaignSettings()
         self.testbed = testbed
         self.targets = targets
         self.seed = seed
-        self.session_churn_prob = self.settings.session_churn_prob
-        self.rtt_drift_sigma = self.settings.rtt_drift_sigma
-        self.rtt_bias_sigma = self.settings.rtt_bias_sigma
-        self.bgp_delay_jitter_ms = self.settings.bgp_delay_jitter_ms
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         store = None
@@ -253,8 +236,6 @@ class Orchestrator:
                 self.settings.convergence_cache_path,
                 testbed.internet.graph,
                 DEFAULT_ANYCAST_PREFIX,
-                engine_mode=self.settings.engine_mode,
-                aggregate_stubs=self.settings.aggregate_stubs,
             )
         self.convergence_cache = (
             ConvergenceCache(
@@ -270,8 +251,6 @@ class Orchestrator:
             cache=self.convergence_cache,
             metrics=self.metrics,
             tracer=self.tracer,
-            mode=self.settings.engine_mode,
-            aggregate_stubs=self.settings.aggregate_stubs,
             max_events=self.settings.max_convergence_events,
         )
         self.prober = IcmpProber(seed=seed)
@@ -415,7 +394,7 @@ class Orchestrator:
                 converged = self.engine.run(
                     injections,
                     igp_overlay=self._igp_overlay(experiment_id),
-                    delay_jitter_ms=self.bgp_delay_jitter_ms,
+                    delay_jitter_ms=self.settings.bgp_delay_jitter_ms,
                     delay_nonce=experiment_id,
                 )
             self.faults.raise_if("convergence-timeout", experiment_id, attempt)
@@ -457,14 +436,15 @@ class Orchestrator:
 
     def _igp_overlay(self, experiment_id: int) -> Dict[Tuple[int, int], int]:
         """Interior-cost overrides for one experiment's churned ASes."""
-        if self.session_churn_prob == 0.0:
+        churn_prob = self.settings.session_churn_prob
+        if churn_prob == 0.0:
             return {}
         rng = derive_rng(self.seed, "igp-churn", experiment_id)
         graph = self.testbed.internet.graph
         tie_fraction = self.testbed.internet.params.igp_tie_fraction
         overlay: Dict[Tuple[int, int], int] = {}
         for asn in graph.asns():
-            if rng.random() >= self.session_churn_prob:
+            if rng.random() >= churn_prob:
                 continue
             tie_prone = rng.random() < tie_fraction
             for neighbor in graph.neighbors(asn):
@@ -484,13 +464,15 @@ class Orchestrator:
         configurations, not just single targets) with per-target
         noise; bounded away from zero to stay physical.
         """
-        if self.rtt_drift_sigma == 0.0 and self.rtt_bias_sigma == 0.0:
+        drift_sigma = self.settings.rtt_drift_sigma
+        bias_sigma = self.settings.rtt_bias_sigma
+        if drift_sigma == 0.0 and bias_sigma == 0.0:
             return np.ones(len(target_ids))
         bias = KeyedStream(self.seed, "rtt-bias", experiment_id).gauss(
-            pack_counters([0], [0]), self.rtt_bias_sigma
+            pack_counters([0], [0]), bias_sigma
         )
         noise = KeyedStream(self.seed, "rtt-drift", experiment_id).gauss(
-            pack_counters(target_ids, 0), self.rtt_drift_sigma
+            pack_counters(target_ids, 0), drift_sigma
         )
         return np.maximum(0.7, (1.0 + bias) * (1.0 + noise))
 

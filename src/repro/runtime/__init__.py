@@ -20,8 +20,7 @@ supplies the runtime machinery the drivers in :mod:`repro.core` and
   ``AnyOpt.metrics``, the CLI's ``--stats`` / ``--metrics-out`` flags,
   and ``repro.report.render_metrics``);
 - :mod:`repro.runtime.settings` — :class:`CampaignSettings`, the
-  single home of every campaign knob, with deprecation shims for the
-  old per-knob constructor arguments;
+  single home of every campaign knob;
 - :mod:`repro.runtime.faults` — deterministic, seed-keyed fault
   injection (announcement failures, convergence timeouts, probe
   blackouts, session resets);
@@ -52,7 +51,7 @@ from repro.runtime.retry import (
     RetryPolicy,
     run_with_retry,
 )
-from repro.runtime.settings import CampaignSettings, resolve_settings
+from repro.runtime.settings import CampaignSettings
 
 __all__ = [
     "AnnouncementFailureError",
@@ -75,6 +74,5 @@ __all__ = [
     "Timer",
     "auto_chunk_size",
     "make_executor",
-    "resolve_settings",
     "run_with_retry",
 ]

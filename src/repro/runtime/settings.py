@@ -1,29 +1,16 @@
-"""Campaign-level settings: one dataclass instead of scattered kwargs.
+"""Campaign-level settings: one immutable value for every knob.
 
-Historically every noise knob (session churn, RTT drift, delay jitter)
-was a separate constructor argument on both :class:`AnyOpt` and
-:class:`~repro.measurement.orchestrator.Orchestrator`, which made the
-signatures grow with every model refinement.  They now live in a single
-immutable :class:`CampaignSettings` value, alongside the runtime knobs
-(parallelism, convergence cache).  The old kwargs are still accepted —
-they emit a :class:`DeprecationWarning` and are folded into a settings
-value — so existing callers keep working for one deprecation cycle.
-"""
+The noise models (session churn, RTT drift, delay jitter) and the
+runtime knobs (parallelism, convergence cache, fault injection,
+retries) live in a single :class:`CampaignSettings` value that
+:class:`AnyOpt` and :class:`~repro.measurement.orchestrator.Orchestrator`
+both take, so their signatures do not grow with every refinement."""
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.util.errors import ConfigurationError
-
-#: Names of the legacy constructor kwargs that map onto settings fields.
-LEGACY_NOISE_KWARGS = (
-    "session_churn_prob",
-    "rtt_drift_sigma",
-    "rtt_bias_sigma",
-    "bgp_delay_jitter_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -38,20 +25,6 @@ class CampaignSettings:
         rtt_bias_sigma: relative sigma of the per-experiment epoch bias.
         bgp_delay_jitter_ms: mean of the per-run exponential jitter on
             every link's control-plane delay.
-        engine_mode: which convergence engine the orchestrator runs:
-            ``"delta"`` (the default; touched-AS tracking with
-            copy-on-restore between runs, plus stub aggregation when
-            ``aggregate_stubs`` is set) or ``"full"`` (every AS gets a
-            live speaker, the pre-delta fast path).  Both modes are
-            bit-identical to the ``reuse_state=False`` reference;
-            the mode only changes how fast a run converges.
-        aggregate_stubs: collapse pure-stub ASes — every session with
-            a provider, whatever the homing degree — into their
-            providers' catchments before event-driven simulation and
-            expand them back at state-read time (delta mode only).
-            Sound because a pure stub has no customers to export
-            provider-learned routes to, so removing it from the event
-            heap perturbs nothing (see :mod:`repro.bgp.delta`).
         max_convergence_events: event budget per convergence run;
             exhaustion raises
             :class:`~repro.util.errors.ConvergenceBudgetError` with an
@@ -102,8 +75,6 @@ class CampaignSettings:
     rtt_drift_sigma: float = 0.04
     rtt_bias_sigma: float = 0.03
     bgp_delay_jitter_ms: float = 20.0
-    engine_mode: str = "delta"
-    aggregate_stubs: bool = True
     max_convergence_events: Optional[int] = None
     parallelism: int = 1
     executor: str = "thread"
@@ -127,10 +98,6 @@ class CampaignSettings:
             raise ConfigurationError("RTT drift sigmas must be non-negative")
         if self.bgp_delay_jitter_ms < 0:
             raise ConfigurationError("bgp_delay_jitter_ms must be non-negative")
-        if self.engine_mode not in ("delta", "full"):
-            raise ConfigurationError(
-                f"engine_mode must be 'delta' or 'full', got {self.engine_mode!r}"
-            )
         if self.max_convergence_events is not None and self.max_convergence_events < 1:
             raise ConfigurationError(
                 "max_convergence_events must be >= 1 (or None for auto)"
@@ -190,38 +157,3 @@ class CampaignSettings:
         """A copy with the given fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-
-def resolve_settings(
-    settings: Optional[CampaignSettings],
-    caller: str,
-    stacklevel: int = 2,
-    **legacy_kwargs,
-) -> CampaignSettings:
-    """Fold deprecated per-knob constructor kwargs into settings.
-
-    ``legacy_kwargs`` holds the old constructor arguments with None
-    meaning "not supplied".  Supplying any of them emits a
-    :class:`DeprecationWarning`; combining them with an explicit
-    ``settings`` value is an error because the precedence would be
-    ambiguous.
-
-    ``stacklevel`` positions the warning at the deprecated call site:
-    the default 2 blames this function's caller; shims that sit one
-    frame deeper (``AnyOpt.__init__`` / ``Orchestrator.__init__``)
-    pass 3 so the warning points at *their* caller, not inside
-    ``repro``.
-    """
-    supplied = {k: v for k, v in legacy_kwargs.items() if v is not None}
-    if not supplied:
-        return settings if settings is not None else CampaignSettings()
-    if settings is not None:
-        raise ConfigurationError(
-            f"{caller}: pass either settings= or the legacy noise kwargs, not both"
-        )
-    warnings.warn(
-        f"{caller}: the {sorted(supplied)} kwargs are deprecated; "
-        "pass settings=CampaignSettings(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return CampaignSettings(**supplied)

@@ -43,7 +43,7 @@ class ConvergenceBudgetError(ReproError):
     Attributes:
         budget: the event cap that was exhausted.
         events: events processed when the run was aborted (the first
-            census to exceed the budget; in delta mode this includes
+            census to exceed the budget; on the delta path this includes
             the reconstructed deliveries to aggregated stubs, so it can
             land past ``budget + 1``).
         ases_touched: distinct ASes that had received at least one event.

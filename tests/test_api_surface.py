@@ -62,8 +62,8 @@ def test_engine_event_budget_guard(testbed):
     from repro.util.errors import ConvergenceBudgetError, ReproError
 
     site = testbed.site(1)
-    for mode in ("delta", "full"):
-        engine = BGPEngine(testbed.internet, mode=mode, max_events=10)
+    for reuse_state in (True, False):  # delta, then the reference
+        engine = BGPEngine(testbed.internet, reuse_state=reuse_state, max_events=10)
         with pytest.raises(ReproError, match="did not converge") as excinfo:
             engine.run([
                 SiteInjection(

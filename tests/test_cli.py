@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.twolevel import SiteLevelMode
+from repro.io import checkpoint as checkpoint_io
 from repro.io import save_model, save_testbed
+from repro.runtime import CampaignSettings
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +228,27 @@ class TestFaultFlags:
         assert code == 0
         assert "resuming from checkpoint" in capsys.readouterr().out
         assert out.read_text() == first
+
+    def test_pre_change_checkpoint_is_a_clean_error(self, artifacts, tmp_path, capsys):
+        """Auto-resume of a checkpoint carrying a retired settings
+        field exits with a typed error, not a traceback."""
+        testbed_path, _ = artifacts
+        doc = checkpoint_io.progress_to_dict(
+            checkpoint_io.DiscoveryProgress(
+                seed=7,
+                settings=CampaignSettings(),
+                site_level_mode=SiteLevelMode.PAIRWISE,
+            )
+        )
+        doc["settings"].update(engine_mode="delta", aggregate_stubs=True)
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_text(json.dumps(doc))
+        code = main([
+            "discover", "--testbed", testbed_path, "--seed", "7",
+            "--checkpoint", str(ckpt), "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert "unknown field(s) 'aggregate_stubs', 'engine_mode'" in capsys.readouterr().err
 
     def test_parallelism_validated(self):
         with pytest.raises(SystemExit):

@@ -2,30 +2,33 @@
 
 The delta engine (touched-AS tracking, copy-on-restore, pure-stub
 aggregation) must be indistinguishable — states, convergence time,
-message count, enabled sites — from both the pooled full engine and
-the build-everything-per-run reference, across every workload shape
-the campaign layer can produce: staggering, withdrawals, poisoning
-(including poisoning an aggregated stub), IGP overlays, delay jitter,
-injections hosted at stubs that normally aggregate, and multi-homed
-stub populations.
+message count, enabled sites — from the build-everything-per-run
+reference, across every workload shape the campaign layer can produce:
+staggering, withdrawals, poisoning (including poisoning an aggregated
+stub), IGP overlays, delay jitter, injections hosted at stubs that
+normally aggregate, and multi-homed stub populations.  Fixed cases pin
+the known-hard shapes; a hypothesis property checks generated ones.
 """
 
+import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import AnyOpt, CampaignSettings
 from repro.bgp.delta import LazyStates
-from repro.core.config import AnycastConfig
-from repro.measurement import Orchestrator
 from repro.bgp.engine import BGPEngine, SiteInjection, SiteWithdrawal
-from repro.io.cachestore import topology_fingerprint
+from repro.io import cachestore
 from repro.topology.astopo import Relationship
-from repro.topology.generator import ScaleSweepParams, generate_scale_internet
+from repro.topology.generator import (
+    ScaleSweepParams,
+    TopologyParams,
+    generate_internet,
+    generate_scale_internet,
+)
 from repro.util.errors import ConvergenceBudgetError
-
-
-SEED = 7
+from tests.test_engine_properties import internets_with_injections
 
 
 def injection(testbed, site_id, t=0.0, poison=()):
@@ -41,24 +44,139 @@ def injection(testbed, site_id, t=0.0, poison=()):
     )
 
 
-def engine_trio(internet):
-    """Delta (default), pooled full, and the per-run reference."""
-    return (
-        BGPEngine(internet),
-        BGPEngine(internet, mode="full"),
-        BGPEngine(internet, reuse_state=False),
-    )
+def engine_pair(internet):
+    """Delta (the default) and the per-run reference."""
+    return BGPEngine(internet), BGPEngine(internet, reuse_state=False)
+
+
+def assert_same_convergence(a, b):
+    assert a.states == b.states
+    assert a.convergence_time_ms == b.convergence_time_ms
+    assert a.message_count == b.message_count
+    assert a.enabled_sites == b.enabled_sites
 
 
 def assert_identical(internet, injections, **kwargs):
-    results = [e.run(injections, **kwargs) for e in engine_trio(internet)]
-    first = results[0]
-    for other in results[1:]:
-        assert first.states == other.states
-        assert first.convergence_time_ms == other.convergence_time_ms
-        assert first.message_count == other.message_count
-        assert first.enabled_sites == other.enabled_sites
-    return first
+    delta, reference = (e.run(injections, **kwargs) for e in engine_pair(internet))
+    assert_same_convergence(delta, reference)
+    return delta
+
+
+@st.composite
+def engine_runs(draw):
+    """:func:`internets_with_injections` widened to every workload
+    shape the delta engine special-cases: extra hosts drawn from tier-2
+    and stub ASes (a stub host is an aggregated stub that must go
+    live), an optional withdrawal, an optional poisoned ASN (possibly
+    an aggregated stub, which forces per-stub replay), and per-run
+    delay jitter with a drawn nonce."""
+    internet, injections = draw(internets_with_injections())
+    graph = internet.graph
+    taken = {inj.host_asn for inj in injections}
+    lower = [asn for asn in graph.asns() if graph.as_of(asn).tier != 1 and asn not in taken]
+    extra = draw(st.lists(st.sampled_from(lower), max_size=2, unique=True))
+    for host in extra:
+        injections.append(
+            SiteInjection(
+                host_asn=host,
+                site_id=len(injections) + 1,
+                pop_id=None,
+                link_rtt_ms=1.0,
+                rel_from_host=Relationship.CUSTOMER,
+                announce_time_ms=draw(st.sampled_from([0.0, 1000.0, 360000.0])),
+            )
+        )
+    if draw(st.booleans()):
+        idx = draw(st.integers(min_value=0, max_value=len(injections) - 1))
+        victim = injections[idx]
+        poison = draw(st.sampled_from([a for a in graph.asns() if a != victim.host_asn]))
+        injections[idx] = dataclasses.replace(victim, poison=(poison,))
+    withdrawals = []
+    if draw(st.booleans()):
+        inj = draw(st.sampled_from(injections))
+        withdrawals.append(
+            SiteWithdrawal(
+                host_asn=inj.host_asn,
+                site_id=inj.site_id,
+                withdraw_time_ms=inj.announce_time_ms
+                + draw(st.sampled_from([0.0, 500.0, 720000.0])),
+            )
+        )
+    run_kwargs = dict(
+        withdrawals=withdrawals,
+        delay_jitter_ms=draw(st.sampled_from([0.0, 5.0])),
+        delay_nonce=draw(st.integers(min_value=0, max_value=1000)),
+    )
+    return internet, injections, run_kwargs
+
+
+#: Event cap for generated runs: converging ones on these small
+#: topologies need a few hundred events, so hitting the cap means the
+#: run oscillates (a policy-deviant AS can form a dispute wheel).
+GENERATED_RUN_BUDGET = 100_000
+
+
+def converge_or_none(engine, injections, **kwargs):
+    """The engine's converged state, or ``None`` if it never converges."""
+    try:
+        return engine.run(injections, **kwargs)
+    except ConvergenceBudgetError:
+        return None
+
+
+class TestDeltaMatchesReference:
+    @given(engine_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_runs_are_bit_identical(self, run):
+        """Both engines agree on every generated run — on the converged
+        state when it converges, and on non-convergence when the drawn
+        policies oscillate."""
+        internet, injections, run_kwargs = run
+        delta, reference = (
+            converge_or_none(
+                BGPEngine(internet, reuse_state=reuse, max_events=GENERATED_RUN_BUDGET),
+                injections,
+                **run_kwargs,
+            )
+            for reuse in (True, False)
+        )
+        assert (delta is None) == (reference is None)
+        if delta is not None:
+            assert_same_convergence(delta, reference)
+
+    def test_oscillating_run_exhausts_both_budgets(self):
+        """A generated case that never converges: the policy-deviant
+        tier-2 AS 20000 hosting a site alongside two tier-1 sites forms
+        a dispute wheel, so both engines must give up rather than
+        either one settling on some state."""
+        params = TopologyParams(
+            n_tier1=5,
+            n_tier2=2,
+            n_stub=17,
+            tier1_pop_min=2,
+            tier1_pop_max=4,
+            multipath_fraction=0.0,
+            policy_deviant_fraction=0.1,
+            igp_tie_fraction=0.0,
+        )
+        internet = generate_internet(params, seed=10)
+        assert internet.graph.as_of(20000).policy_deviant
+        injections = [
+            SiteInjection(
+                host_asn=host,
+                site_id=idx + 1,
+                pop_id=pop,
+                link_rtt_ms=1.0,
+                rel_from_host=Relationship.CUSTOMER,
+            )
+            for idx, (host, pop) in enumerate([(1299, 0), (2914, 0), (20000, None)])
+        ]
+        for reuse in (True, False):
+            engine = BGPEngine(
+                internet, reuse_state=reuse, max_events=GENERATED_RUN_BUDGET
+            )
+            with pytest.raises(ConvergenceBudgetError):
+                engine.run(injections)
 
 
 class TestBitIdentity:
@@ -108,7 +226,7 @@ class TestBitIdentity:
         )
 
     def test_poisoned_transit(self, testbed):
-        plain = BGPEngine(testbed.internet, mode="full").run([injection(testbed, 1)])
+        plain = BGPEngine(testbed.internet).run([injection(testbed, 1)])
         carrier = next(
             asn
             for asn, state in plain.states.items()
@@ -208,16 +326,9 @@ class TestMultiHomedAggregation:
                 ((tier2[0], tier2[5]), (0.0, 50.0)),
             ]
         ]
-        delta, full, reference = engine_trio(multihomed_internet)
+        delta, reference = engine_pair(multihomed_internet)
         for w in workloads:
-            a, b, c = delta.run(w), full.run(w), reference.run(w)
-            assert a.states == b.states == c.states
-            assert a.message_count == b.message_count == c.message_count
-            assert (
-                a.convergence_time_ms
-                == b.convergence_time_ms
-                == c.convergence_time_ms
-            )
+            assert_same_convergence(delta.run(w), reference.run(w))
 
     def test_withdraw_and_jitter_on_multihomed_population(self, multihomed_internet):
         graph = multihomed_internet.graph
@@ -245,12 +356,12 @@ class TestLazyStates:
 
     def test_pickle_materializes_to_plain_dict(self, testbed):
         delta_conv = BGPEngine(testbed.internet).run([injection(testbed, 1)])
-        full_conv = BGPEngine(testbed.internet, mode="full").run(
+        reference_conv = BGPEngine(testbed.internet, reuse_state=False).run(
             [injection(testbed, 1)]
         )
         revived = pickle.loads(pickle.dumps(delta_conv.states))
         assert type(revived) is dict
-        assert revived == full_conv.states
+        assert revived == reference_conv.states
 
     def test_untouched_ases_share_pristine_state(self, testbed):
         """A poisoned transit receives nothing (every export path
@@ -283,62 +394,21 @@ class TestBudget:
         assert err.virtual_time_ms >= 0.0
 
 
-class TestFingerprint:
-    def test_engine_mode_namespaces_the_store(self, testbed):
-        graph = testbed.internet.graph
-        prints = {
-            topology_fingerprint(graph, "192.0.2.0/24", mode, agg)
-            for mode in ("delta", "full")
-            for agg in (False, True)
-        }
-        assert len(prints) == 4
-        assert topology_fingerprint(
-            graph, "192.0.2.0/24", "delta", True
-        ) == topology_fingerprint(graph, "192.0.2.0/24", "delta", True)
-
-
-class TestCampaignEquivalence:
-    """Delta versus full at the campaign layer: every executor shape
-    and the fault-injection/retry machinery must see no difference."""
-
-    @pytest.mark.parametrize(
-        "executor,parallelism",
-        [("thread", 1), ("thread", 3), ("process", 2)],
-        ids=["serial", "thread", "process"],
-    )
-    def test_full_mode_discover_matches_delta(
-        self, testbed, targets, anyopt_model, executor, parallelism
-    ):
-        settings = CampaignSettings(
-            engine_mode="full", parallelism=parallelism, executor=executor
+class TestStoreVersion:
+    def test_version_2_envelope_reads_as_a_miss(self, testbed, tmp_path):
+        """An entry written before the namespace digest changed must
+        never be served, even when its key matches."""
+        store = cachestore.ConvergenceStore.for_topology(
+            str(tmp_path), testbed.internet.graph, "192.0.2.0/24"
         )
-        with AnyOpt(testbed, targets=targets, seed=SEED, settings=settings) as anyopt:
-            model = anyopt.discover()
-        assert model.rtt_matrix.values == anyopt_model.rtt_matrix.values
-        assert model.experiments_used == anyopt_model.experiments_used
-        assert model.twolevel.provider_matrix == anyopt_model.twolevel.provider_matrix
-        assert model.twolevel.site_matrices == anyopt_model.twolevel.site_matrices
-
-    def test_fault_injection_equivalent_across_modes(self, testbed, targets):
-        outcomes = {}
-        for mode in ("delta", "full"):
-            settings = CampaignSettings(
-                engine_mode=mode,
-                fault_announcement_prob=0.15,
-                fault_convergence_timeout_prob=0.05,
-            )
-            orch = Orchestrator(testbed, targets, seed=SEED, settings=settings)
-            deployments = [
-                orch.deploy(AnycastConfig(site_order=tuple(testbed.site_ids()[:k])))
-                for k in (2, 3, 4)
-            ]
-            outcomes[mode] = [
-                (
-                    dict(d.converged.states.items()),
-                    d.converged.message_count,
-                    d.converged.convergence_time_ms,
-                    d.converged.enabled_sites,
-                )
-                for d in deployments
-            ]
-        assert outcomes["delta"] == outcomes["full"]
+        key = ("k",)
+        store.save(key, {"state": 1})
+        assert store.load(key) == {"state": 1}
+        filename, _ = store._locate(key)
+        with open(filename, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["version"] = 2
+        with open(filename, "wb") as fh:
+            pickle.dump(payload, fh)
+        assert cachestore.STORE_VERSION == 3
+        assert store.load(key) is None

@@ -477,3 +477,57 @@ class TestCheckpointResume:
         loaded = load_checkpoint(target, SEED, settings, SiteLevelMode.PAIRWISE)
         assert loaded.experiment_count == 0
         assert loaded.rtt_matrix is None
+
+
+def _checkpoint_documents():
+    """One minimal document per checkpoint kind, with its loader."""
+    from repro.core.twolevel import SiteLevelMode
+
+    settings = CampaignSettings()
+    discovery = checkpoint_io.progress_to_dict(
+        checkpoint_io.DiscoveryProgress(
+            seed=SEED, settings=settings, site_level_mode=SiteLevelMode.PAIRWISE
+        )
+    )
+    repair = checkpoint_io.repair_progress_to_dict(
+        checkpoint_io.RepairProgress(
+            seed=SEED,
+            settings=settings,
+            announce_order=(1, 2),
+            max_rounds=2,
+            budget=None,
+            escalate_attempts=1,
+            model_fingerprint="0" * 64,
+        )
+    )
+    return [
+        (discovery, checkpoint_io.progress_from_dict),
+        (repair, checkpoint_io.repair_progress_from_dict),
+    ]
+
+
+@pytest.mark.parametrize(
+    "document,loader", _checkpoint_documents(), ids=["discovery", "repair"]
+)
+class TestCheckpointDocuments:
+    """Malformed checkpoints fail with a typed error naming the
+    problem, never a bare TypeError or KeyError."""
+
+    def test_retired_settings_field_is_typed(self, document, loader):
+        """A checkpoint written while ``engine_mode`` was a setting."""
+        doc = json.loads(json.dumps(document))
+        doc["settings"]["engine_mode"] = "delta"
+        with pytest.raises(checkpoint_io.CheckpointError, match="'engine_mode'"):
+            loader(doc)
+
+    def test_missing_key_is_typed(self, document, loader):
+        doc = json.loads(json.dumps(document))
+        del doc["rtt_matrix"]
+        with pytest.raises(checkpoint_io.CheckpointError, match="'rtt_matrix'"):
+            loader(doc)
+
+    def test_wrong_format_is_typed(self, document, loader):
+        with pytest.raises(checkpoint_io.CheckpointError, match="document"):
+            loader({**document, "format": "anyopt-model"})
+        with pytest.raises(checkpoint_io.CheckpointError, match="document"):
+            loader([document])

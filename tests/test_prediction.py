@@ -42,9 +42,9 @@ class TestPredictBatch:
         )
         assert changed > 0
 
-    def test_predict_catchments_bulk(self, predictor, targets):
+    def test_predict_sites_bulk(self, predictor, targets):
         cfg = AnycastConfig(site_order=(1, 6))
-        result = predictor.predict_catchments(cfg, targets)
+        result = predictor.predict(cfg, targets).sites()
         assert len(result) == len(targets)
 
     def test_batch_preserves_request_order(self, predictor, targets):
@@ -70,32 +70,6 @@ class TestPredictBatch:
     def test_empty_batch_mean_rtt_is_none(self, predictor):
         cfg = AnycastConfig(site_order=(1,))
         assert predictor.predict(cfg, []).mean_rtt_ms is None
-
-
-class TestDeprecatedShims:
-    def test_predict_catchment_warns_and_matches_batch(self, predictor, targets):
-        cfg = AnycastConfig(site_order=(1, 4, 6))
-        target = list(targets)[0]
-        batch = predictor.predict(cfg, [target])
-        with pytest.warns(DeprecationWarning, match="predict_catchment is deprecated"):
-            legacy = predictor.predict_catchment(target.target_id, cfg)
-        assert legacy == batch[0].site
-
-    def test_predict_rtt_warns_and_matches_batch(self, predictor, targets):
-        cfg = AnycastConfig(site_order=(1, 4, 6))
-        target = list(targets)[0]
-        batch = predictor.predict(cfg, [target])
-        with pytest.warns(DeprecationWarning, match="predict_rtt is deprecated"):
-            legacy = predictor.predict_rtt(target.target_id, cfg)
-        assert legacy == batch[0].rtt_ms
-
-    def test_warning_blames_the_caller(self, predictor, targets):
-        """stacklevel=2 points the warning at this file, not at
-        prediction.py — the resolve_settings convention."""
-        cfg = AnycastConfig(site_order=(1,))
-        with pytest.warns(DeprecationWarning) as captured:
-            predictor.predict_catchment(list(targets)[0].target_id, cfg)
-        assert captured[0].filename == __file__
 
 
 class TestPredictRtt:
